@@ -33,7 +33,7 @@ import (
 
 // TestMain lets this test binary double as a shard-grading worker and as
 // a cold-start grading process: the coordinator benchmarks re-execute it
-// with the worker environment marker set (ServeIfWorker takes over), and
+// with a worker environment marker set (ServeIfWorker takes over), and
 // BenchmarkServeThroughput's baseline re-executes it with the cold-grade
 // marker so each request pays a real process start.
 func TestMain(m *testing.M) {
@@ -211,9 +211,10 @@ func fcOf(r *fault.Report) float64 {
 }
 
 // TestTable5ShardedEquivalence is the sharding acceptance criterion on
-// the real workload: grading the Table 5 Phase A program across 4 worker
-// subprocesses must reproduce the unsharded run's coverage, DetectedAt
-// and SignatureGroups bit for bit.
+// the real workload: grading the Table 5 Phase A program across 4 local
+// worker sessions (shard.LocalHosts, what -shards 4 runs) must reproduce
+// the unsharded run's coverage, DetectedAt and SignatureGroups bit for
+// bit, shipping no artifact bytes.
 func TestTable5ShardedEquivalence(t *testing.T) {
 	e := benchEnv(t)
 	g, err := e.Golden(core.PhaseA)
@@ -228,16 +229,25 @@ func TestTable5ShardedEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, stats, err := shard.Grade(e.CPU, g, e.Faults(), shard.Options{
-		Shards: 4,
+	disk, err := cache.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	hosts, err := shard.LocalHosts(4, disk.Dir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, stats, err := shard.GradeDist(e.CPU, g, e.Faults(), shard.DistOptions{
+		Hosts:  hosts,
 		Sample: opt.Sample,
 		Seed:   opt.Seed,
+		Cache:  disk,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if stats.Fallbacks != 0 {
-		t.Fatalf("sharded run fell back in-process: %+v", stats)
+	if stats.BytesShipped != 0 {
+		t.Fatalf("local workers on the coordinator cache shipped %d bytes", stats.BytesShipped)
 	}
 	if got.Cycles != want.Cycles || len(got.Faults) != len(want.Faults) {
 		t.Fatalf("shape mismatch: %d faults/%d cycles vs %d/%d",
@@ -256,22 +266,28 @@ func TestTable5ShardedEquivalence(t *testing.T) {
 }
 
 // BenchmarkTable5FaultCoverageSharded is BenchmarkTable5FaultCoverage with
-// every grading call fanned out across 4 worker subprocesses of this test
-// binary (see TestMain) through the internal/shard coordinator. The
-// artifact cache is shared across iterations, so after the first shipment
-// workers load the netlist and golden trace from disk. Results are
-// bit-identical to the unsharded bench; the wall-clock ratio against
-// BenchmarkTable5FaultCoverage measures the sharding overhead or speedup
-// on this machine's core count.
+// every grading call fanned out across 4 local worker sessions of this
+// test binary (see TestMain) through shard.GradeDist over
+// shard.LocalHosts — what -shards 4 runs. The workers read the netlist
+// and golden trace from the coordinator's own cache, so nothing is
+// shipped. Results are bit-identical to the unsharded bench; the
+// wall-clock ratio against BenchmarkTable5FaultCoverage measures the
+// sharding overhead or speedup on this machine's core count, and
+// redispatch/op counts the straggler duplicates per iteration.
 func BenchmarkTable5FaultCoverageSharded(b *testing.B) {
 	e := benchEnv(b)
 	disk, err := cache.Open(b.TempDir())
 	if err != nil {
 		b.Fatal(err)
 	}
+	hosts, err := shard.LocalHosts(4, disk.Dir())
+	if err != nil {
+		b.Fatal(err)
+	}
+	var redispatched int
 	e.Grader = func(cpu *plasma.CPU, golden *plasma.Golden, faults []fault.Fault, opt fault.Options) (*fault.Result, error) {
-		res, _, err := shard.Grade(cpu, golden, faults, shard.Options{
-			Shards:    4,
+		res, stats, err := shard.GradeDist(cpu, golden, faults, shard.DistOptions{
+			Hosts:     hosts,
 			Engine:    opt.Engine,
 			LaneWords: opt.LaneWords,
 			Workers:   opt.Workers,
@@ -279,6 +295,9 @@ func BenchmarkTable5FaultCoverageSharded(b *testing.B) {
 			Seed:      opt.Seed,
 			Cache:     disk,
 		})
+		if stats != nil {
+			redispatched += stats.Redispatched
+		}
 		return res, err
 	}
 	defer func() { e.Grader = nil }()
@@ -293,6 +312,7 @@ func BenchmarkTable5FaultCoverageSharded(b *testing.B) {
 	}
 	b.ReportMetric(fcOf(d.PhaseA), "phaseA-FC%")
 	b.ReportMetric(fcOf(d.PhaseAB), "phaseAB-FC%")
+	b.ReportMetric(float64(redispatched)/float64(b.N), "redispatch/op")
 }
 
 // BenchmarkFusedReplay measures checkpoint-window replay fusion against

@@ -28,22 +28,23 @@
 // and golden traces across runs, bounded by -cache-max-bytes (LRU, 0 =
 // unbounded); -cpuprofile/-memprofile write pprof profiles.
 //
-// -shards N > 1 routes every fault simulation through the sharded
-// multi-process coordinator (internal/shard): each grading call fans out
-// across N worker processes of this binary and merges to a result
-// bit-identical to the in-process path. -shard-timeout bounds one worker
-// attempt's wall clock (0 = the coordinator's default), and -stats folds
-// the shard counters (launches, retries, bytes shipped, per-shard wall
-// clock) and the gate-kernel dispatch counters (SIMD vs generic runs,
-// batched gates, fast-path hits) into the cumulative statistics block.
+// -shards N > 1 routes every fault simulation through the distributed
+// coordinator (shard.GradeDist) over N local worker sessions, each a
+// re-execution of this binary reading the coordinator's artifact cache
+// (-cache, else a temporary directory), and merges to a result
+// bit-identical to the in-process path. -shard-timeout bounds one
+// dispatch attempt's wall clock (0 = the coordinator's default).
 //
-// -hosts routes every fault simulation through the multi-host
-// distributed coordinator instead (see sbst -hosts for the spec syntax
-// and worker modes): artifacts replicate to each worker's cache at most
-// once per content hash, host capacities come from "=WEIGHT" suffixes or
-// -calibrate, and -stats additionally folds in the distributed counters
-// (live hosts, straggler re-dispatches, ship and merge wall clock).
-// Results stay bit-identical to the in-process path.
+// -hosts routes every fault simulation through the same coordinator over
+// remote worker hosts instead (see sbst -hosts for the spec syntax and
+// worker modes): artifacts replicate to each worker's cache at most once
+// per content hash, and host capacities come from "=WEIGHT" suffixes or
+// -calibrate. With either, -stats folds the shard and distributed
+// counters (dispatches, retries, bytes shipped, live hosts, straggler
+// re-dispatches, ship and merge wall clock) into the cumulative
+// statistics block, beside the gate-kernel dispatch counters (SIMD vs
+// generic runs, batched gates, fast-path hits). Results stay
+// bit-identical to the in-process path.
 package main
 
 import (
@@ -80,8 +81,8 @@ func main() {
 	lanes := flag.Int("lanes", 0, "lane words per fault pass: a power of two up to 64 (0 = cost-model adaptive)")
 	stats := flag.Bool("stats", false, "print cumulative fault-simulation work statistics")
 	fuse := flag.Bool("fuse", true, "fuse checkpoint-window replay across passes (false = unfused reference path)")
-	shards := flag.Int("shards", 1, "fault-grading worker processes per simulation (1 = in-process)")
-	shardTimeout := flag.Duration("shard-timeout", 0, "per-shard-worker wall-clock budget (0 = default)")
+	shards := flag.Int("shards", 1, "fault-grading local worker sessions per simulation (1 = in-process)")
+	shardTimeout := flag.Duration("shard-timeout", 0, "per-dispatch wall-clock budget of a grading worker (0 = default)")
 	server := flag.String("server", "", "grade through a running sbstd daemon at this address (serves one synthesized core, so use a native-lib table like -table 5; the techlib table is rejected by the netlist guard)")
 	hosts := flag.String("hosts", "", "distribute grading across remote hosts: addr[=weight],exec:argv[=weight],...")
 	calibrate := flag.Bool("calibrate", false, "derive missing -hosts weights from a per-host calibration kernel")
@@ -143,10 +144,11 @@ func main() {
 		opt.CollectInto = &simStats
 	}
 
-	// With -shards > 1, every fault simulation in the harness goes through
-	// the sharded coordinator instead of in-process fault.Simulate. The
-	// shard stats merged into Result.Stats flow into -stats via CollectInto.
-	// With -server, they instead travel to a warm-state grading daemon
+	// With -shards > 1 or -hosts, every fault simulation in the harness
+	// goes through the distributed coordinator instead of in-process
+	// fault.Simulate. The shard stats merged into Result.Stats flow into
+	// -stats via CollectInto. With -server, they instead travel to a
+	// warm-state grading daemon
 	// (internal/serve), which memoizes goldens and plans per program and
 	// grades on persistent simulators; results stay bit-identical.
 	var grader func(cpu *plasma.CPU, golden *plasma.Golden, faults []fault.Fault, opt fault.Options) (*fault.Result, error)
@@ -159,11 +161,33 @@ func main() {
 	if exclusive > 1 {
 		log.Fatal("-server, -shards and -hosts are mutually exclusive")
 	}
-	if *hosts != "" {
-		specs, err := shard.ParseHosts(*hosts)
-		if err != nil {
+	// Local -shards workers share the coordinator's cache, a temporary
+	// one if -cache is unset.
+	var specs []shard.HostSpec
+	distCache := disk
+	switch {
+	case *hosts != "":
+		var err error
+		if specs, err = shard.ParseHosts(*hosts); err != nil {
 			log.Fatal(err)
 		}
+	case *shards > 1:
+		if distCache == nil {
+			dir, err := os.MkdirTemp("", "report-shards-")
+			if err != nil {
+				log.Fatal(err)
+			}
+			defer os.RemoveAll(dir)
+			if distCache, err = cache.Open(dir); err != nil {
+				log.Fatal(err)
+			}
+		}
+		var err error
+		if specs, err = shard.LocalHosts(*shards, distCache.Dir()); err != nil {
+			log.Fatal(err)
+		}
+	}
+	if specs != nil {
 		grader = func(cpu *plasma.CPU, golden *plasma.Golden, faults []fault.Fault, opt fault.Options) (*fault.Result, error) {
 			res, _, err := shard.GradeDist(cpu, golden, faults, shard.DistOptions{
 				Hosts:     specs,
@@ -173,7 +197,7 @@ func main() {
 				Workers:   opt.Workers,
 				Sample:    opt.Sample,
 				Seed:      opt.Seed,
-				Cache:     disk,
+				Cache:     distCache,
 				Calibrate: *calibrate,
 			})
 			if err != nil {
@@ -192,27 +216,6 @@ func main() {
 		}
 		defer client.Close()
 		grader = client.Grader()
-	}
-	if *shards > 1 {
-		grader = func(cpu *plasma.CPU, golden *plasma.Golden, faults []fault.Fault, opt fault.Options) (*fault.Result, error) {
-			res, _, err := shard.Grade(cpu, golden, faults, shard.Options{
-				Shards:    *shards,
-				Timeout:   *shardTimeout,
-				Engine:    opt.Engine,
-				LaneWords: opt.LaneWords,
-				Workers:   opt.Workers,
-				Sample:    opt.Sample,
-				Seed:      opt.Seed,
-				Cache:     disk,
-			})
-			if err != nil {
-				return nil, err
-			}
-			if opt.CollectInto != nil {
-				opt.CollectInto.Add(&res.Stats)
-			}
-			return res, nil
-		}
 	}
 
 	if plasma.VariantByName(*variant) == nil {

@@ -7,7 +7,8 @@
 //	sbst -phase A|B|C [-lib native-0.35um-A|nand2-0.35um-B]
 //	     [-emit] [-listing] [-faultsim] [-sample N] [-seed S]
 //	     [-workers W] [-engine event|oblivious] [-lanes W] [-stats]
-//	     [-shards N] [-shard-timeout D] [-shard-worker]
+//	     [-shards N | -hosts SPEC [-calibrate]] [-shard-timeout D]
+//	     [-shard-serve ADDR | -shard-session]
 //	     [-checkpoint-k K] [-cache DIR] [-cache-max-bytes N]
 //	     [-cpuprofile FILE] [-memprofile FILE]
 //
@@ -28,29 +29,34 @@
 // each store; 0 = unbounded). -cpuprofile/-memprofile write pprof
 // profiles.
 //
-// -shards N > 1 grades the fault universe across N worker processes of
-// this same binary (bit-identical to -shards 1; see internal/shard):
-// each failed worker is retried once, -shard-timeout bounds a worker
-// attempt's wall clock, and the netlist + golden trace are shipped once
-// through the artifact cache (-cache when set, else a temporary
-// directory). -shard-worker runs this process as a one-shot protocol
-// worker on stdin/stdout (the coordinator normally triggers the same
-// mode via the SBST_SHARD_WORKER environment variable).
+// -shards N > 1 grades the fault universe across N local worker sessions,
+// re-executions of this same binary (bit-identical to -shards 1; see
+// internal/shard). The workers read the netlist and golden trace straight
+// from the coordinator's artifact cache (-cache when set, else a
+// temporary directory), so nothing is shipped. A failed dispatch is
+// retried once on a fresh session, -shard-timeout bounds one attempt's
+// wall clock, and a run with no worker that can start fails rather than
+// grading in-process.
 //
 // -hosts distributes the grading across remote worker hosts instead
-// (still bit-identical): a comma-separated list of TCP addresses of
-// hosts running `sbst -shard-serve ADDR`, or exec argvs prefixed with
-// "exec:" (an ssh wrapper like `exec:ssh h2 sbst -shard-session` turns
-// any machine with the binary into a worker), each optionally suffixed
-// "=WEIGHT" with the host's relative capacity. The netlist, CPU sidecar
-// and golden trace replicate to each worker's cache push-on-miss — each
-// content hash ships at most once per worker — and -calibrate derives
-// missing weights from a short calibration kernel per host. -shard-serve
-// and -shard-session run this process as the worker side (TCP daemon /
-// one stdio session), with -cache naming the worker's artifact cache.
+// (still bit-identical; -shards and -hosts are mutually exclusive): a
+// comma-separated list of TCP addresses of hosts running `sbst
+// -shard-serve ADDR`, or exec argvs prefixed with "exec:" (an ssh
+// wrapper like `exec:ssh h2 sbst -shard-session` turns any machine with
+// the binary into a worker), each optionally suffixed "=WEIGHT" with the
+// host's relative capacity. The netlist, CPU sidecar and golden trace
+// replicate to each worker's cache push-on-miss — each content hash
+// ships at most once per worker — and -calibrate derives missing weights
+// from a short calibration kernel per host. -shard-serve and
+// -shard-session run this process as the worker side (TCP daemon / one
+// stdio session), with -cache naming the worker's artifact cache.
+// With -stats, both -shards and -hosts print the distributed grading
+// statistics: live hosts, shards, straggler re-dispatches, bytes shipped
+// and a per-host breakdown.
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"log"
@@ -79,6 +85,15 @@ func parseEngine(name string) (fault.Engine, error) {
 	return 0, fmt.Errorf("unknown -engine %q (want event or oblivious)", name)
 }
 
+// checkDistFlags rejects -shards N > 1 together with -hosts: both choose
+// where the grading runs, and neither may silently win.
+func checkDistFlags(shards int, hosts string) error {
+	if shards > 1 && hosts != "" {
+		return errors.New("-shards and -hosts are mutually exclusive")
+	}
+	return nil
+}
+
 func main() {
 	shard.ServeIfWorker()
 	log.SetFlags(0)
@@ -98,9 +113,8 @@ func main() {
 	lanes := flag.Int("lanes", 0, "lane words per fault pass: a power of two up to 64 (0 = cost-model adaptive)")
 	stats := flag.Bool("stats", false, "print fault-simulation work statistics")
 	fuse := flag.Bool("fuse", true, "fuse checkpoint-window replay across passes (false = unfused reference path)")
-	shards := flag.Int("shards", 1, "fault-grading worker processes (1 = in-process)")
-	shardTimeout := flag.Duration("shard-timeout", 0, "per-shard-worker wall-clock budget (0 = default)")
-	shardWorker := flag.Bool("shard-worker", false, "serve one shard-grading request on stdin/stdout and exit")
+	shards := flag.Int("shards", 1, "fault-grading local worker sessions (1 = in-process)")
+	shardTimeout := flag.Duration("shard-timeout", 0, "per-dispatch wall-clock budget of a grading worker (0 = default)")
 	hosts := flag.String("hosts", "", "distribute grading across remote hosts: addr[=weight],exec:argv[=weight],...")
 	calibrate := flag.Bool("calibrate", false, "derive missing -hosts weights from a per-host calibration kernel")
 	shardServe := flag.String("shard-serve", "", "serve distributed-grading sessions on this TCP address")
@@ -112,12 +126,6 @@ func main() {
 	memprofile := flag.String("memprofile", "", "write a heap profile to this file on exit")
 	flag.Parse()
 
-	if *shardWorker {
-		if err := shard.RunWorker(os.Stdin, os.Stdout); err != nil {
-			log.Fatal(err)
-		}
-		return
-	}
 	if *shardSession {
 		if err := shard.ServeSessionStdio(*cacheDir); err != nil {
 			log.Fatal(err)
@@ -133,6 +141,9 @@ func main() {
 
 	eng, err := parseEngine(*engine)
 	if err != nil {
+		log.Fatal(err)
+	}
+	if err := checkDistFlags(*shards, *hosts); err != nil {
 		log.Fatal(err)
 	}
 
@@ -255,15 +266,33 @@ func main() {
 		faults := fault.Universe(cpu.Netlist)
 		fmt.Printf("\nfault universe: %d collapsed / %d total stuck-at faults\n",
 			len(faults), fault.TotalEquiv(faults))
-		var res *fault.Result
-		var shardStats *shard.Stats
-		var distStats *shard.DistStats
+		// -shards and -hosts both grade through shard.GradeDist; local
+		// workers share the coordinator's cache, a temporary one if
+		// -cache is unset.
+		var specs []shard.HostSpec
+		distCache := disk
 		switch {
 		case *hosts != "":
-			specs, err2 := shard.ParseHosts(*hosts)
-			if err2 != nil {
-				log.Fatal(err2)
+			specs, err = shard.ParseHosts(*hosts)
+		case *shards > 1:
+			if distCache == nil {
+				dir, err := os.MkdirTemp("", "sbst-shards-")
+				if err != nil {
+					log.Fatal(err)
+				}
+				defer os.RemoveAll(dir)
+				if distCache, err = cache.Open(dir); err != nil {
+					log.Fatal(err)
+				}
 			}
+			specs, err = shard.LocalHosts(*shards, distCache.Dir())
+		}
+		if err != nil {
+			log.Fatal(err)
+		}
+		var res *fault.Result
+		var distStats *shard.DistStats
+		if specs != nil {
 			res, distStats, err = shard.GradeDist(cpu, golden, faults, shard.DistOptions{
 				Hosts:     specs,
 				Timeout:   *shardTimeout,
@@ -272,21 +301,10 @@ func main() {
 				Workers:   *workers,
 				Sample:    *sample,
 				Seed:      *seed,
-				Cache:     disk,
+				Cache:     distCache,
 				Calibrate: *calibrate,
 			})
-		case *shards > 1:
-			res, shardStats, err = shard.Grade(cpu, golden, faults, shard.Options{
-				Shards:    *shards,
-				Timeout:   *shardTimeout,
-				Engine:    eng,
-				LaneWords: *lanes,
-				Workers:   *workers,
-				Sample:    *sample,
-				Seed:      *seed,
-				Cache:     disk,
-			})
-		default:
+		} else {
 			opt := fault.Options{Sample: *sample, Seed: *seed, Workers: *workers, Engine: eng, LaneWords: *lanes, NoFusion: !*fuse}
 			res, err = fault.Simulate(cpu, golden, faults, opt)
 		}
@@ -297,9 +315,6 @@ func main() {
 		if *stats {
 			fmt.Printf("\nsimulation statistics (engine=%s, simd=%s):\n%s\n",
 				*engine, gate.SIMDKernelName(), res.Stats.String())
-			if shardStats != nil {
-				fmt.Printf("\nsharding statistics (%d shards requested):\n%s\n", *shards, shardStats.String())
-			}
 			if distStats != nil {
 				fmt.Printf("\ndistributed grading statistics:\n%s\n", distStats.String())
 			}

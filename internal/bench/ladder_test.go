@@ -9,6 +9,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/cache"
 	"repro/internal/core"
 	"repro/internal/fault"
 	"repro/internal/plasma"
@@ -17,12 +18,32 @@ import (
 	"repro/internal/synth"
 )
 
-// TestMain makes this test binary a valid shard worker for SelfSpawner,
-// so the bit-identity matrix below can exercise the sharded grading path
-// the same way cmd/sbst does.
+// TestMain makes this test binary a valid shard worker for
+// shard.LocalHosts, so the bit-identity matrix below can exercise the
+// sharded grading path the same way sbst -shards does.
 func TestMain(m *testing.M) {
 	shard.ServeIfWorker()
 	os.Exit(m.Run())
+}
+
+// gradeSharded grades through shard.GradeDist over n local worker
+// sessions sharing a fresh coordinator cache: the -shards N path.
+func gradeSharded(t *testing.T, cpu *plasma.CPU, golden *plasma.Golden, faults []fault.Fault, n int, opt fault.Options) (*fault.Result, error) {
+	disk, err := cache.Open(t.TempDir())
+	if err != nil {
+		return nil, err
+	}
+	hosts, err := shard.LocalHosts(n, disk.Dir())
+	if err != nil {
+		return nil, err
+	}
+	res, _, err := shard.GradeDist(cpu, golden, faults, shard.DistOptions{
+		Hosts:     hosts,
+		Engine:    opt.Engine,
+		LaneWords: opt.LaneWords,
+		Cache:     disk,
+	})
+	return res, err
 }
 
 var update = flag.Bool("update", false, "rewrite golden files with current results")
@@ -188,11 +209,7 @@ func TestLadderBitIdentity(t *testing.T) {
 			for _, c := range cfgs {
 				var res *fault.Result
 				if c.shards > 1 {
-					res, _, err = shard.Grade(e.CPU, golden, faults, shard.Options{
-						Shards:    c.shards,
-						Engine:    c.opt.Engine,
-						LaneWords: c.opt.LaneWords,
-					})
+					res, err = gradeSharded(t, e.CPU, golden, faults, c.shards, c.opt)
 				} else {
 					res, err = fault.Simulate(e.CPU, golden, faults, c.opt)
 				}

@@ -63,21 +63,20 @@ type SimStats struct {
 	// run-out) by golden-run decile.
 	ExitHist [10]int64
 	// Sharded-grading counters, populated by the internal/shard
-	// coordinator (zero for in-process runs). ShardsLaunched counts worker
-	// processes spawned, including retries; ShardsRetried counts shards
-	// whose first attempt failed and were retried; ShardsFailed counts
-	// failed worker attempts (crash, timeout, bad frame); ShardsFallback
-	// counts shards graded in-process after spawning failed.
+	// coordinator (zero for in-process runs). ShardsLaunched counts grade
+	// dispatches sent to workers, including retries and straggler
+	// duplicates; ShardsRetried counts shards whose first attempt failed
+	// and were retried; ShardsFailed counts failed attempts (crash,
+	// timeout, bad frame, worker-side error).
 	ShardsLaunched int64
 	ShardsRetried  int64
 	ShardsFailed   int64
-	ShardsFallback int64
-	// ShardBytesShipped is the artifact bytes written to ship the netlist
-	// and golden trace to workers (0 when already present in the cache).
+	// ShardBytesShipped is the artifact bytes pushed into worker caches
+	// (0 when every worker already held them).
 	ShardBytesShipped int64
-	// ShardWallNs sums per-shard wall-clock nanoseconds (the cost a
-	// serial machine would pay); the coordinator's own wall-clock is the
-	// slowest shard, reported separately by shard.Stats.
+	// ShardWallNs sums per-attempt wall-clock nanoseconds across workers
+	// (the cost a serial machine would pay); the run's own wall clock is
+	// reported separately by shard.DistStats.
 	ShardWallNs int64
 	// Distributed-grading counters, populated by the internal/shard
 	// multi-host coordinator (zero otherwise). DistHosts counts live
@@ -142,7 +141,6 @@ func (s *SimStats) Add(other *SimStats) {
 	s.ShardsLaunched += other.ShardsLaunched
 	s.ShardsRetried += other.ShardsRetried
 	s.ShardsFailed += other.ShardsFailed
-	s.ShardsFallback += other.ShardsFallback
 	s.ShardBytesShipped += other.ShardBytesShipped
 	s.ShardWallNs += other.ShardWallNs
 	s.DistHosts += other.DistHosts
@@ -233,10 +231,10 @@ func (s *SimStats) String() string {
 		s.TraceStoredBytes, s.TraceDenseBytes, s.TraceCompression())
 	fmt.Fprintf(&b, "golden trace      %d B stored, %d B dense-equivalent (%.1fx smaller)",
 		s.GoldenStoredBytes, s.GoldenDenseBytes, s.GoldenCompression())
-	if s.ShardsLaunched > 0 || s.ShardsFallback > 0 {
-		fmt.Fprintf(&b, "\nshard workers     %d launched, %d retried, %d failed, %d in-process fallbacks",
-			s.ShardsLaunched, s.ShardsRetried, s.ShardsFailed, s.ShardsFallback)
-		fmt.Fprintf(&b, "\nshard shipping    %d B artifacts written", s.ShardBytesShipped)
+	if s.ShardsLaunched > 0 {
+		fmt.Fprintf(&b, "\nshard dispatches  %d sent, %d retried, %d failed",
+			s.ShardsLaunched, s.ShardsRetried, s.ShardsFailed)
+		fmt.Fprintf(&b, "\nshard shipping    %d B artifacts pushed", s.ShardBytesShipped)
 		fmt.Fprintf(&b, "\nshard wall-clock  %.3fs summed across shards", float64(s.ShardWallNs)/1e9)
 	}
 	if s.DistHosts > 0 {

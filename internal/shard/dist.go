@@ -16,18 +16,22 @@ import (
 	"repro/internal/plasma"
 )
 
-// Multi-host distributed grading coordinator. GradeDist extends the
-// subprocess sharding of Grade across machines: each host runs a
-// persistent worker session (remote.go) on its own artifact cache, the
-// coordinator replicates the netlist/CPU/golden artifacts push-on-miss,
-// partitions the pass plan by host capacity (weighted LPT), dispatches
-// one shard per host, re-dispatches the longest-running outstanding
-// shard to any host that goes idle (first bit-identical result wins),
-// and merges with fault.MergeShards — the same never-a-partial-merge
-// contract as Grade: a shard whose primary attempts fail twice with no
-// duplicate to cover it fails the whole run.
+// DefaultTimeout is the per-dispatch-attempt wall-clock budget when
+// DistOptions.Timeout is zero.
+const DefaultTimeout = 15 * time.Minute
 
-// HostSpec describes one remote worker host.
+// Distributed grading coordinator. GradeDist grades across worker hosts —
+// local re-executions of this binary (LocalHosts, behind -shards N), exec
+// argvs, or TCP host daemons: each host runs a persistent worker session
+// (remote.go) on its own artifact cache, the coordinator replicates the
+// netlist/CPU/golden artifacts push-on-miss, partitions the pass plan by
+// host capacity (weighted LPT), dispatches one shard per host,
+// re-dispatches the longest-running outstanding shard to any host that
+// goes idle (first bit-identical result wins), and merges with
+// fault.MergeShards. A shard whose primary attempts fail twice with no
+// duplicate to cover it fails the whole run: never a partial merge.
+
+// HostSpec describes one worker host: a TCP address or an exec argv.
 type HostSpec struct {
 	// Addr is the TCP address of a listening worker host ("host:port",
 	// see EnvHostAddr / sbst -shard-serve); empty for exec hosts.
@@ -47,6 +51,28 @@ type HostSpec struct {
 	// dial, when set (tests), opens the session transport directly —
 	// an in-process Host over pipes, or a fault-injecting wrapper.
 	dial func() (io.ReadWriteCloser, error)
+	// env holds extra environment entries for an exec host's process
+	// (LocalHosts sets EnvCacheDir).
+	env []string
+}
+
+// LocalHosts returns n exec hosts that re-execute the current binary as
+// session workers on this machine — what -shards N grades on. Each
+// worker's EnvCacheDir is cacheDir; pass the coordinator's own cache
+// directory (DistOptions.Cache) and the HAVE/WANT handshake finds every
+// artifact already present, so nothing is shipped. An empty cacheDir
+// gives each worker a private temporary cache instead. The binary must
+// call ServeIfWorker early in main (or TestMain).
+func LocalHosts(n int, cacheDir string) ([]HostSpec, error) {
+	exe, err := os.Executable()
+	if err != nil {
+		return nil, fmt.Errorf("shard: resolve own binary: %w", err)
+	}
+	hosts := make([]HostSpec, n)
+	for i := range hosts {
+		hosts[i] = HostSpec{Argv: []string{exe}, env: []string{EnvCacheDir + "=" + cacheDir}}
+	}
+	return hosts, nil
 }
 
 // Name returns the host's display name for stats and errors.
@@ -103,15 +129,17 @@ func ParseHosts(spec string) ([]HostSpec, error) {
 
 // DistOptions tunes a distributed grading run.
 type DistOptions struct {
-	// Hosts are the remote workers. A host that cannot be dialed is
-	// recorded in the stats and excluded (the run degrades to the live
-	// hosts); no reachable host at all is an error.
+	// Hosts are the workers (LocalHosts builds them for this machine). A
+	// host that cannot be dialed is recorded in the stats and excluded
+	// (the run degrades to the live hosts); no reachable host at all is
+	// an error.
 	Hosts []HostSpec
 	// Timeout bounds each dispatch attempt's wall clock, including the
 	// artifact pushes (0 = DefaultTimeout).
 	Timeout time.Duration
 	// Engine, LaneWords and Workers pass through to each host's
-	// fault.Simulate, exactly as in Options.
+	// fault.Simulate (Workers = per-host goroutines, 0 = the host's
+	// GOMAXPROCS).
 	Engine    fault.Engine
 	LaneWords int
 	Workers   int
@@ -196,20 +224,23 @@ func (s *DistStats) String() string {
 	return b.String()
 }
 
-// GradeDist fault-simulates a fault list across remote worker hosts and
-// merges the per-shard detections with fault.MergeShards. The merged
+// GradeDist fault-simulates a fault list across worker hosts and merges
+// the per-shard detections with fault.MergeShards. The merged
 // DetectedAt, SignatureGroups and coverage are bit-identical to an
-// unsharded fault.Simulate of the same options, exactly as with Grade —
-// which is also what makes straggler duplicates safe: any host's result
-// for a shard is the same bits, so the first one to arrive wins.
+// unsharded fault.Simulate of the same options (asserted by the
+// package's equivalence tests): per-fault outcomes do not depend on pass
+// packing, and the partition only regroups passes. That is also what
+// makes straggler duplicates safe: any host's result for a shard is the
+// same bits, so the first one to arrive wins.
 //
 // Robustness: a failed dispatch attempt (transport error, timeout,
 // worker-side error) is retried exactly once on the same host over a
 // fresh session, with the artifacts force-re-pushed (healing a corrupt
 // worker cache entry); a second failure fails the run unless a straggler
 // duplicate of that shard completes elsewhere — a partial merge is never
-// returned. Hosts that cannot be dialed at all are excluded up front and
-// recorded in the stats.
+// returned. Hosts that cannot be dialed at all (an unreachable address,
+// an exec argv whose binary cannot start) are excluded up front and
+// recorded in the stats; with no reachable host the run is an error.
 func GradeDist(cpu *plasma.CPU, golden *plasma.Golden, faults []fault.Fault, opt DistOptions) (*fault.Result, *DistStats, error) {
 	if len(opt.Hosts) == 0 {
 		return nil, nil, fmt.Errorf("shard: GradeDist needs at least one host")
@@ -429,7 +460,10 @@ func GradeDist(cpu *plasma.CPU, golden *plasma.Golden, faults []fault.Fault, opt
 		stats.Redispatched += h.Duplicates
 	}
 
-	// Whole-run stats the per-shard sums cannot provide, mirroring Grade.
+	// Per-shard stats sum cleanly except the whole-run quantities each
+	// worker reported for itself: golden-trace sizes describe the one
+	// replicated trace, and the partition (not the workers) skipped the
+	// never-activated faults.
 	merged.Stats.GoldenDenseBytes = golden.DenseStateBytes()
 	merged.Stats.GoldenStoredBytes = golden.StoredStateBytes()
 	merged.Stats.TraceDenseBytes = golden.DenseTraceBytes()
@@ -776,9 +810,7 @@ func (g *distGrader) attempt(slot int, s *distShard, force bool) (*Response, err
 	return rf.Resp, nil
 }
 
-// checkResponse validates a worker's response against its request — the
-// shared contract of the one-shot worker path (runAttempt) and the
-// session path (attempt).
+// checkResponse validates a worker's response against its request.
 func checkResponse(req *Request, resp *Response) error {
 	if resp.Shard != req.Shard {
 		return fmt.Errorf("response for shard %d, want %d", resp.Shard, req.Shard)
@@ -821,7 +853,8 @@ func dialHost(spec HostSpec, timeout time.Duration) (*hostConn, error) {
 		shutdownFn = closeFn
 		rw = rwc
 	case len(spec.Argv) > 0:
-		w, err := startExecEnv([]string{EnvSession + "=1"}, spec.Argv[0], spec.Argv[1:]...)
+		env := append([]string{EnvSession + "=1"}, spec.env...)
+		w, err := startExecEnv(env, spec.Argv[0], spec.Argv[1:]...)
 		if err != nil {
 			return nil, fmt.Errorf("shard: host %s: %w", spec.Name(), err)
 		}
@@ -859,4 +892,24 @@ func dialHost(spec HostSpec, timeout time.Duration) (*hostConn, error) {
 	}
 	hc.cores = hello.Cores
 	return hc, nil
+}
+
+// scatter expands a shard's subset-aligned outcomes to a full-fault-list
+// Result (ungraded lanes stay undetected) for fault.MergeShards.
+func scatter(faults []fault.Fault, idxs []int, cycles int, detectedAt []int32, sigGroups []uint8, stats fault.SimStats) *fault.Result {
+	r := &fault.Result{
+		Faults:          faults,
+		DetectedAt:      make([]int32, len(faults)),
+		SignatureGroups: make([]uint8, len(faults)),
+		Cycles:          cycles,
+		Stats:           stats,
+	}
+	for i := range r.DetectedAt {
+		r.DetectedAt[i] = -1
+	}
+	for k, idx := range idxs {
+		r.DetectedAt[idx] = detectedAt[k]
+		r.SignatureGroups[idx] = sigGroups[k]
+	}
+	return r
 }

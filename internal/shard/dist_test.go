@@ -71,15 +71,15 @@ func TestParseHosts(t *testing.T) {
 	}
 }
 
-// TestPartitionWeightedEqualIsUniform pins the compatibility contract:
-// with equal weights, the weighted partitioner is bit-identical to the
-// uniform Partition (same greedy argmin, same tie-break).
+// TestPartitionWeightedEqualIsUniform pins the uniform contract: equal
+// explicit weights partition bit-identically to the zero-filled weights
+// that mean "uniform" (same greedy argmin, same tie-break).
 func TestPartitionWeightedEqualIsUniform(t *testing.T) {
 	cpu := getCPU(t)
 	g := captureTestGolden(t, 60)
 	faults := fault.SampleFaults(fault.Universe(cpu.Netlist), 512, 11)
 	for _, shards := range []int{1, 2, 3, 5} {
-		uniform, uskip, err := Partition(cpu.Netlist, g, faults, 0, 0, shards)
+		uniform, uskip, err := PartitionWeighted(cpu.Netlist, g, faults, 0, 0, make([]float64, shards))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -403,29 +403,8 @@ func TestGradeDistHealsCorruptWorkerCache(t *testing.T) {
 // completes promptly (no timeout involved) and bit-identically.
 func TestGradeDistStragglerRedispatch(t *testing.T) {
 	good := newTestHost(t)
-	blackhole := HostSpec{dial: func() (io.ReadWriteCloser, error) {
-		a, b := net.Pipe()
-		go func() {
-			enc := NewEncoder(b)
-			dec := NewDecoder(b)
-			_ = enc.WriteFrame(&sessionFrame{Kind: frameHello, Proto: sessionProto, Cores: 1})
-			for {
-				var f sessionFrame
-				if dec.ReadFrame(&f) != nil {
-					return
-				}
-				switch f.Kind {
-				case frameHave:
-					_ = enc.WriteFrame(&sessionFrame{Kind: frameWant}) // claim warm cache
-				case framePut:
-					_ = enc.WriteFrame(&sessionFrame{Kind: framePutOK})
-				case frameGrade:
-					// Swallow the shard and never answer.
-				}
-			}
-		}()
-		return a, nil
-	}}
+	// Swallow the shard and never answer.
+	blackhole := scriptedHost(func(net.Conn, *Encoder, *Request) bool { return true })
 	cpu := getCPU(t)
 	g := captureTestGolden(t, 60)
 	all := fault.Universe(cpu.Netlist)
@@ -462,32 +441,12 @@ func TestGradeDistStragglerRedispatch(t *testing.T) {
 // contract: a host that fails the same shard twice — with no other host
 // to cover it — fails the whole run with both attempts' errors.
 func TestGradeDistDoubleFailureFails(t *testing.T) {
-	broken := HostSpec{dial: func() (io.ReadWriteCloser, error) {
-		a, b := net.Pipe()
-		go func() {
-			defer b.Close()
-			enc := NewEncoder(b)
-			dec := NewDecoder(b)
-			_ = enc.WriteFrame(&sessionFrame{Kind: frameHello, Proto: sessionProto, Cores: 1})
-			for {
-				var f sessionFrame
-				if dec.ReadFrame(&f) != nil {
-					return
-				}
-				switch f.Kind {
-				case frameHave:
-					_ = enc.WriteFrame(&sessionFrame{Kind: frameWant})
-				case framePut:
-					_ = enc.WriteFrame(&sessionFrame{Kind: framePutOK})
-				case frameGrade:
-					_ = enc.WriteFrame(&sessionFrame{Kind: frameResult, Resp: &Response{
-						Shard: f.Req.Shard, Err: "simulated worker fault",
-					}})
-				}
-			}
-		}()
-		return a, nil
-	}}
+	broken := scriptedHost(func(_ net.Conn, enc *Encoder, req *Request) bool {
+		_ = enc.WriteFrame(&sessionFrame{Kind: frameResult, Resp: &Response{
+			Shard: req.Shard, Err: "simulated worker fault",
+		}})
+		return true
+	})
 	cpu := getCPU(t)
 	g := captureTestGolden(t, 60)
 	all := fault.Universe(cpu.Netlist)
