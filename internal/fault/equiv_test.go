@@ -275,17 +275,20 @@ func TestWidthEquivalencePhaseA(t *testing.T) {
 	checkWidthEquivalence(t, cpu, goldens, Universe(cpu.Netlist), Options{Sample: 512, Seed: 9, Workers: 1})
 }
 
-// TestTierEquivalencePhaseA asserts the kernel fallback chain end to
-// end: a full Phase A grade forced through every SIMD tier this host can
-// run (on an AVX-512 box that exercises avx512, avx2, and generic in
-// turn) must produce bit-identical DetectedAt and SignatureGroups. This
-// is the whole-pipeline half of the dispatch-chain guarantee; the
-// per-kernel half lives in gate's equivalence/fuzz suites.
-func TestTierEquivalencePhaseA(t *testing.T) {
+// TestSIMDEquivalencePhaseA asserts the kernel fallback end to end: a
+// full Phase A grade with the AVX2 kernels on and then off must produce
+// bit-identical DetectedAt and SignatureGroups. This is the
+// whole-pipeline half of the dispatch guarantee; the per-kernel half
+// lives in gate's equivalence/fuzz suites.
+func TestSIMDEquivalencePhaseA(t *testing.T) {
 	if testing.Short() {
-		t.Skip("forced-tier Phase-A sweep is long; skipped with -short")
+		t.Skip("two Phase-A grades; skipped with -short")
 	}
-	defer gate.SetSIMDTier("auto")
+	if !gate.SIMDAvailable() {
+		t.Skip("no assembly kernels on this host/build")
+	}
+	prev := gate.SetSIMD(true)
+	defer gate.SetSIMD(prev)
 	cpu := getCPU(t)
 	comps := core.ClassifyNetlist(cpu.Netlist)
 	st, err := core.GenerateSelfTest(comps, core.PhaseA)
@@ -298,29 +301,27 @@ func TestTierEquivalencePhaseA(t *testing.T) {
 	}
 	faults := Universe(cpu.Netlist)
 	opt := Options{Sample: 512, Seed: 9, Workers: 1}
-	var ref *Result
-	var refTier string
-	for _, tier := range gate.SIMDTiers() {
-		if _, err := gate.SetSIMDTier(tier); err != nil {
-			t.Fatal(err)
+	// The width cost model reads the SIMD setting, so each side plans its
+	// own passes; results must agree regardless.
+	var res [2]*Result
+	for i, simd := range []bool{true, false} {
+		gate.SetSIMD(simd)
+		if res[i], err = Simulate(cpu, golden, faults, opt); err != nil {
+			t.Fatalf("simd=%v: %v", simd, err)
 		}
-		res, err := Simulate(cpu, golden, faults, opt)
-		if err != nil {
-			t.Fatalf("tier %s: %v", tier, err)
-		}
-		if res.Stats.SIMDKernelRuns == 0 && tier != "generic" && tier != "purego" {
-			t.Errorf("tier %s: no SIMD kernel runs recorded", tier)
-		}
-		if ref == nil {
-			ref, refTier = res, tier
-			continue
-		}
-		for i := range ref.DetectedAt {
-			if res.DetectedAt[i] != ref.DetectedAt[i] || res.SignatureGroups[i] != ref.SignatureGroups[i] {
-				t.Fatalf("tier %s fault %d (%v): DetectedAt=%d groups=%#x, tier %s says %d/%#x",
-					tier, i, res.Faults[i].Site, res.DetectedAt[i], res.SignatureGroups[i],
-					refTier, ref.DetectedAt[i], ref.SignatureGroups[i])
-			}
+	}
+	on, off := res[0], res[1]
+	if on.Stats.SIMDKernelRuns == 0 {
+		t.Error("simd=on: no SIMD kernel runs recorded")
+	}
+	if off.Stats.SIMDKernelRuns != 0 {
+		t.Errorf("simd=off: %d SIMD kernel runs recorded", off.Stats.SIMDKernelRuns)
+	}
+	for i := range on.DetectedAt {
+		if off.DetectedAt[i] != on.DetectedAt[i] || off.SignatureGroups[i] != on.SignatureGroups[i] {
+			t.Fatalf("fault %d (%v): simd=off DetectedAt=%d groups=%#x, simd=on says %d/%#x",
+				i, off.Faults[i].Site, off.DetectedAt[i], off.SignatureGroups[i],
+				on.DetectedAt[i], on.SignatureGroups[i])
 		}
 	}
 }

@@ -56,28 +56,24 @@ const (
 )
 
 // wordScale adjusts the per-word cost for the lane width's evaluation
-// path of the active kernel tier. With assembly batch kernels (w >= 8
-// only — the narrower widths have no kernels) the per-word cost drops
-// below the scalar baseline until cache pressure claws the kernel win
-// back at the widest rows: at w=64 the working set is 512 B per signal
-// and the sweep goes memory-bound, so the 32 → 64 step is roughly flat
-// end to end on every tier. Fit per tier from the PR-10
-// BenchmarkPassRunnerWidth sweep (Sample=2048, Workers=1, each tier
-// forced via SBST_SIMD_TIER, each tier's own w=1 run as its scalar
-// baseline — the box is a shared 1-core VM with ±10% noise, so the
-// constants are rounded to the band structure the sweep supports, not
-// per-width point estimates; BENCH_faultsim.json records the raw rows):
-// avx512 measured 4.39/2.67/1.89/1.02/0.76/0.70/0.72 s at w=1..64
-// (solved scales 0.72/0.68/0.75/0.84 at w=8/16/32/64), avx2
-// 3.90/2.75/1.84/1.03/0.71/0.65/0.66 s (0.90/0.73/0.78/0.86). The
-// generic Go kernels fit ~1.0 flat out to w=32 with the same mild w=64
-// cache penalty — the compiled-plan sweep removed the per-gate dispatch
-// overhead that the old 1.25 w>=16 penalty was absorbing. NEON has no
-// measured sweep yet (no arm64 perf box); it reuses the avx2 shape as
-// the closest 128-bit analogue, recorded honestly here.
+// path. With the AVX2 batch kernels (w >= 8 only — the narrower widths
+// have no kernels) the per-word cost drops below the scalar baseline
+// until cache pressure claws the kernel win back at the widest rows: at
+// w=64 the working set is 512 B per signal and the sweep goes
+// memory-bound, so the 32 → 64 step is roughly flat end to end.
+//
+// The SIMD row is the AVX-512 fit of the BenchmarkPassRunnerWidth sweep
+// (Sample=2048, Workers=1, each backend's own w=1 run as its scalar
+// baseline, rounded to the band structure the sweep's ±10% noise
+// supports; BENCH_faultsim.json records the raw rows). The AVX2 fit
+// (0.90/0.73/0.78/0.86 at w=8/16/32/64) is within that noise of it, but
+// planning with it re-packs the full-universe Phase A and raised the
+// Table 5 peak RSS from 43 to 57 MiB; the row kept plans Table 5 exactly
+// as the AVX-512 build did (TestPlanPinned, DESIGN.md §12). The generic
+// Go kernels fit ~1.0 flat out to w=32 with the same mild w=64 cache
+// penalty.
 func wordScale(w int) float64 {
-	switch gate.SIMDKernelName() {
-	case "avx512":
+	if gate.SIMDEnabled() {
 		switch {
 		case w >= 64:
 			return 0.84
@@ -85,16 +81,6 @@ func wordScale(w int) float64 {
 			return 0.75
 		case w >= 8:
 			return 0.70
-		}
-		return 1.0
-	case "avx2", "neon":
-		switch {
-		case w >= 64:
-			return 0.86
-		case w >= 32:
-			return 0.78
-		case w >= 8:
-			return 0.80
 		}
 		return 1.0
 	}

@@ -1,14 +1,11 @@
-//go:build (!amd64 && !arm64) || purego
+//go:build !amd64 || purego
 
 package gate
 
 // Portable fallback: no assembly batch kernels. Every run dispatches to
-// the generated Go run kernels (kernels_generated.go).
+// the generated Go run kernels (kernels_generated.go). This serves every
+// non-amd64 host, arm64 included, and every purego build.
 
-func detectTier() simdTier { return tierGeneric }
+const asmAvailable = false
 
-func tierAvailable(t simdTier) bool { return t == tierGeneric }
-
-func archBatchKernels(simdTier, int) *[numKinds]batchKernel { return nil }
-
-func archCompKernels(simdTier, int) *[numKinds]compKernel { return nil }
+func asmKernels(int) (*[numKinds]batchKernel, *[numKinds]compKernel) { return nil, nil }

@@ -114,18 +114,17 @@ type Sim struct {
 
 	inc *incState // non-nil: event-driven incremental evaluation (event.go)
 
-	// Compiled kernel plan (batch.go, tier.go), resolved once at
-	// construction for the SIMD widths (w >= 8) so the steady-state eval
-	// loop carries no per-gate kind/width/tier branching: tier is the
-	// captured kernel backend, kern/comp its per-kind batch and
-	// raw-compute kernel tables at this width (nil on the generic tier),
-	// goKern the width-bound Go run kernel, and rg the per-signal operand
-	// lane-word offsets every batched path reads instead of re-deriving
-	// them gate by gate (unused operands stay offset 0 — an in-bounds
-	// dead load, never a branch). batch holds the per-kind pending runs
-	// of the current sweep level, obl the oblivious level plan (also
-	// compiled at construction for w >= 8), kstats the dispatch counters.
-	tier   simdTier
+	// Compiled kernel plan (batch.go), resolved once at construction for
+	// the SIMD widths (w >= 8) so the steady-state eval loop carries no
+	// per-gate kind/width/backend branching: kern/comp are the AVX2
+	// per-kind batch and raw-compute kernel tables at this width (nil
+	// when SIMD is off or unavailable), goKern the width-bound Go run
+	// kernel, and rg the per-signal operand lane-word offsets every
+	// batched path reads instead of re-deriving them gate by gate (unused
+	// operands stay offset 0 — an in-bounds dead load, never a branch).
+	// batch holds the per-kind pending runs of the current sweep level,
+	// obl the oblivious level plan (also compiled at construction for
+	// w >= 8), kstats the dispatch counters.
 	kern   *[numKinds]batchKernel
 	comp   *[numKinds]compKernel
 	goKern func(val []uint64, kind Kind, gates []runGate, flags []uint8)
@@ -165,20 +164,19 @@ func NewSimWidth(n *Netlist, w int) (*Sim, error) {
 		hookIdx: make([]int32, len(n.Gates)),
 		hooks:   make([][]laneInject, 0, 64),
 		uni:     make([]bool, len(n.Gates)),
-		tier:    activeTier(),
 	}
 	for i := range s.hookIdx {
 		s.hookIdx[i] = -1
 	}
 	if w >= 8 {
-		// Compile the kernel plan: resolve the dispatch tables for the
-		// captured (tier, width) and precompute every gate's operand
-		// offsets, so evaluation is a flat walk over resolved kernel
-		// calls.
+		// Compile the kernel plan: resolve the dispatch tables for this
+		// width and precompute every gate's operand offsets, so
+		// evaluation is a flat walk over resolved kernel calls.
 		wi := widthIdx(w)
 		s.goKern = goBatchKernels[wi]
-		s.kern = archBatchKernels(s.tier, wi)
-		s.comp = archCompKernels(s.tier, wi)
+		if SIMDEnabled() {
+			s.kern, s.comp = asmKernels(wi)
+		}
 		s.rg = compileRunGates(n, w)
 		s.obl = s.buildOblivPlan()
 	}

@@ -61,59 +61,53 @@ func BenchmarkEventEvalWidth(b *testing.B) {
 	}
 }
 
-// BenchmarkEventEvalTier runs the same faulted eval loop with each
-// runnable kernel tier forced in turn (plus generic), at the widths
-// where the backends differ most. On an AVX-512 host the avx512/avx2
-// rows at equal width isolate the VPTERNLOG + 512-bit-vector win from
+// BenchmarkEventEvalSIMD runs the same faulted eval loop with the AVX2
+// kernels on and off, at the widths where the kernels carry the most
+// work; the on/off rows at equal width isolate the kernel win from
 // everything else in the sweep.
-func BenchmarkEventEvalTier(b *testing.B) {
-	defer SetSIMDTier("auto")
+func BenchmarkEventEvalSIMD(b *testing.B) {
+	prev := SetSIMD(true)
+	defer SetSIMD(prev)
 	n := buildBenchNetlist(256, 4000)
 	sites := collectFaultSites(n)
-	names := make([]string, 0, 4)
-	for _, tier := range asmTiers() {
-		names = append(names, tier.String())
-	}
-	names = append(names, "generic")
-	for _, name := range names {
+	for _, simd := range []bool{true, false} {
+		if simd && !SIMDAvailable() {
+			continue
+		}
 		for _, w := range []int{16, 32, 64} {
-			b.Run(fmt.Sprintf("tier=%s/w=%d", name, w), func(b *testing.B) {
-				if _, err := SetSIMDTier(name); err != nil {
-					b.Fatal(err)
-				}
+			b.Run(fmt.Sprintf("simd=%v/w=%d", simd, w), func(b *testing.B) {
+				SetSIMD(simd)
 				benchEventEval(b, n, sites, w)
 			})
 		}
 	}
 }
 
-// BenchmarkBatchKernelTier measures one batch kernel in isolation: a
-// 512-gate same-kind run evaluated back to back, per tier and width.
-// Unlike the EventEval benchmarks there is no queue or batching work in
-// the loop, so the ratio between tiers here is the pure kernel speedup;
-// the gap between this ratio and the EventEvalTier ratio is the Amdahl
-// dilution of everything around the kernels.
-func BenchmarkBatchKernelTier(b *testing.B) {
+// BenchmarkBatchKernelSIMD measures one batch kernel in isolation: a
+// 512-gate same-kind run evaluated back to back, AVX2 against the
+// generated Go kernel, per width. Unlike the EventEval benchmarks there
+// is no queue or batching work in the loop, so the on/off ratio here is
+// the pure kernel speedup; the gap between this ratio and the
+// EventEvalSIMD ratio is the Amdahl dilution of everything around the
+// kernels.
+func BenchmarkBatchKernelSIMD(b *testing.B) {
 	const nGates = 512
 	for _, tc := range []struct {
 		name string
 		kind Kind
 	}{{"and2", And2}, {"xor2", Xor2}, {"mux2", Mux2}} {
-		for _, tier := range asmTiers() {
-			for _, w := range []int{16, 32, 64} {
-				wi := widthIdx(w)
-				kern := archBatchKernels(tier, wi)
-				if kern == nil || kern[tc.kind] == nil {
-					continue
-				}
-				b.Run(fmt.Sprintf("kind=%s/tier=%s/w=%d", tc.name, tier, w), func(b *testing.B) {
-					benchBatchKernel(b, kern[tc.kind], tc.kind, nGates, w)
-				})
+		for _, w := range []int{16, 32, 64} {
+			if !SIMDAvailable() {
+				break
 			}
+			kern, _ := asmKernels(widthIdx(w))
+			b.Run(fmt.Sprintf("kind=%s/simd=true/w=%d", tc.name, w), func(b *testing.B) {
+				benchBatchKernel(b, kern[tc.kind], tc.kind, nGates, w)
+			})
 		}
 		for _, w := range []int{16, 32, 64} {
 			kern := goBatchKernels[widthIdx(w)]
-			b.Run(fmt.Sprintf("kind=%s/tier=generic/w=%d", tc.name, w), func(b *testing.B) {
+			b.Run(fmt.Sprintf("kind=%s/simd=false/w=%d", tc.name, w), func(b *testing.B) {
 				benchBatchKernel(b, func(val *uint64, gates *runGate, flags *uint8, n int) {
 					vs := unsafe.Slice(val, (1+4*nGates)*w)
 					gs := unsafe.Slice(gates, n)

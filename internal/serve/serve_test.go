@@ -322,6 +322,40 @@ func TestServerErrorKeepsConnection(t *testing.T) {
 	}
 }
 
+// TestRejectedRequestsLeaveNoMemo: requests with an out-of-range cycle
+// count or an invalid lane-width cap are rejected before they reach the
+// golden and plan memos, so a stream of distinct hostile requests cannot
+// grow them (memo entries are never evicted).
+func TestRejectedRequestsLeaveNoMemo(t *testing.T) {
+	srv := newTestServer(t, 1)
+	prog := assemble(t, progAlu)
+	var resp Response
+	ok := &Request{ProgOrigin: prog.Origin, ProgWords: prog.Words, Cycles: testCycles, Sample: 64, Seed: 1}
+	if err := srv.Grade(ok, &resp); err != nil {
+		t.Fatal(err)
+	}
+	goldens, plans := len(srv.goldens), len(srv.plans)
+	var bad []*Request
+	for i := 0; i < 4; i++ {
+		bad = append(bad, &Request{ProgOrigin: prog.Origin, ProgWords: prog.Words, Cycles: maxRequestCycles + 1 + i, Sample: 64})
+	}
+	for _, lanes := range []int{-1, 3, 6, 2 * 64, 1 << 20} {
+		bad = append(bad, &Request{ProgOrigin: prog.Origin, ProgWords: prog.Words, Cycles: testCycles, Sample: 64, LaneWords: lanes})
+	}
+	for _, req := range bad {
+		if err := srv.Grade(req, &resp); err == nil {
+			t.Fatalf("request with Cycles=%d LaneWords=%d was accepted", req.Cycles, req.LaneWords)
+		}
+	}
+	if len(srv.goldens) != goldens || len(srv.plans) != plans {
+		t.Fatalf("after %d rejected requests: %d golden / %d plan memo keys, want %d / %d",
+			len(bad), len(srv.goldens), len(srv.plans), goldens, plans)
+	}
+	if st := srv.Stats(); st.Errors != int64(len(bad)) {
+		t.Fatalf("errors = %d, want %d", st.Errors, len(bad))
+	}
+}
+
 // TestShutdownDrainsInFlight: a request being graded when Shutdown starts
 // still gets its response; new connections are refused afterwards.
 func TestShutdownDrainsInFlight(t *testing.T) {

@@ -338,6 +338,11 @@ func (s *Server) plan(ge *goldenEntry, reqFaults []fault.Fault, faultsHash strin
 	return e
 }
 
+// maxRequestCycles bounds a request's golden capture length, ~150x the
+// Table 5 A+B program, so one request cannot make the server capture and
+// memoize an unbounded trace.
+const maxRequestCycles = 1 << 20
+
 // Grade serves one request into resp. It is the steady-state hot path:
 // with the golden and plan already memoized, the cost is one warm fault
 // simulation — no synthesis, capture, planning or simulator construction,
@@ -364,8 +369,14 @@ func (s *Server) Grade(req *Request, resp *Response) error {
 }
 
 func (s *Server) grade(req *Request, resp *Response) error {
-	if req.Cycles <= 0 {
-		return fmt.Errorf("serve: request wants %d cycles", req.Cycles)
+	// Validate everything the memos key on before touching them: a
+	// request that failed inside s.golden or s.plan would leave an entry
+	// holding its error, and entries are never evicted.
+	if req.Cycles <= 0 || req.Cycles > maxRequestCycles {
+		return fmt.Errorf("serve: request wants %d cycles; want 1..%d", req.Cycles, maxRequestCycles)
+	}
+	if l := req.LaneWords; l < 0 || l > gate.MaxLaneWords || l&(l-1) != 0 {
+		return fmt.Errorf("serve: request LaneWords must be 0 or a power of two in [1,%d]; got %d", gate.MaxLaneWords, l)
 	}
 	if len(req.ProgWords) == 0 {
 		return fmt.Errorf("serve: request carries no program")
